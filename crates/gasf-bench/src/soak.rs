@@ -307,15 +307,10 @@ fn naive_multicast_bytes(
     tuples: u64,
     msg_bytes: u64,
 ) -> u64 {
+    let from_src = topology.hops_from(src);
     let mut hop_weighted = 0u64;
     for (idx, &count) in sub_nodes.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let hops = topology
-            .path(src, NodeId(idx as u32))
-            .map(|p| p.len() as u64 - 1)
-            .unwrap_or(0);
+        let hops = from_src.to(NodeId(idx as u32)).unwrap_or(0) as u64;
         hop_weighted += hops * count;
     }
     tuples * msg_bytes * hop_weighted

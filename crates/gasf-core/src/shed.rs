@@ -129,8 +129,13 @@ impl ShedHeadroom {
     }
 }
 
-/// Linear interpolation from `from` (rung 0) to `to` (rung `rungs`).
+/// Linear interpolation from `from` (rung 0) to `to` (rung `rungs`). The
+/// top rung returns `to` exactly: `from + (to - from) * 1.0` can round one
+/// ulp past it.
 fn ladder(from: f64, to: f64, rung: u8, rungs: u8) -> f64 {
+    if rung >= rungs {
+        return to;
+    }
     from + (to - from) * (rung as f64 / rungs as f64)
 }
 
@@ -164,7 +169,7 @@ impl FilterSpec {
                 let cap = *delta / 2.0;
                 let ceiling = headroom.max_slack.unwrap_or(cap).min(cap);
                 if ceiling > *slack {
-                    *slack = ladder(*slack, ceiling, rung, rungs);
+                    *slack = ladder(*slack, ceiling, rung, rungs).min(ceiling);
                 }
             }
             FilterKind::Reservoir { k, .. } => {
@@ -312,6 +317,48 @@ mod tests {
             .with_shed_headroom(ShedHeadroom::rungs(2))
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn top_rung_lands_exactly_on_the_slack_cap() {
+        // `from + (to - from) * 1.0` lands one ulp above delta/2 here.
+        let (delta, slack) = (0.937076180931465, 0.1977732077341405);
+        let spec = FilterSpec::delta("t", delta, slack).with_shed_headroom(ShedHeadroom::rungs(3));
+        let top = spec.degraded(3).unwrap();
+        match top.kind {
+            FilterKind::Delta { slack, .. } => assert_eq!(slack, delta / 2.0),
+            _ => unreachable!(),
+        }
+        top.validate().unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn every_rung_of_a_valid_spec_is_valid(
+            delta in 1e-6f64..1e3,
+            slack_share in 0.0f64..1.0,
+            ceiling_share in 0.0f64..1.2,
+            rungs in 1u8..9,
+        ) {
+            let slack = delta / 2.0 * slack_share;
+            let headroom = ShedHeadroom::rungs(rungs).with_max_slack(delta / 2.0 * ceiling_share);
+            for spec in [
+                FilterSpec::delta("t", delta, slack).with_shed_headroom(ShedHeadroom::rungs(rungs)),
+                FilterSpec::delta("t", delta, slack).with_shed_headroom(headroom),
+                FilterSpec::trend_delta("t", delta, slack).with_shed_headroom(headroom),
+            ] {
+                spec.validate().unwrap();
+                for r in 0..=rungs {
+                    let degraded = spec.degraded(r).unwrap();
+                    proptest::prop_assert!(
+                        degraded.validate().is_ok(),
+                        "rung {r} of {spec:?} is invalid: {degraded:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,5 +48,5 @@ pub mod transport;
 pub use multicast::{
     Delivery, GroupId, NetError, Overlay, OverlayConfig, RepairReport, ShardedGroup,
 };
-pub use topology::{LinkSpec, NodeId, Topology, TopologyBuilder};
+pub use topology::{Hops, LinkSpec, NodeId, Topology, TopologyBuilder};
 pub use transport::{LinkLoad, NullTransport, Transport};

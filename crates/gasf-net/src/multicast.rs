@@ -11,8 +11,29 @@
 //! different subset of the group, the tree is pruned to that subset, and
 //! the message crosses every link at most once — so the more recipients
 //! share a tuple, the fewer bytes per recipient.
+//!
+//! ## Send cost
+//!
+//! Underlay routes are cached. The first time a node forwards a message,
+//! the overlay runs one BFS from it ([`Topology::path`]'s traversal) and
+//! keeps its route table: for each of the `n` destinations, the 4-byte id
+//! of the route's last link, whose other end is the predecessor. That is
+//! at most `n²` entries overall — 4 MiB on a 32×32 grid once every node
+//! has sent. The tables are built on first send, never at construction, and
+//! stay valid for the overlay's lifetime because node failure is
+//! modelled above the underlay. Link byte counters are a dense array.
+//!
+//! A send then costs time proportional to the overlay hops of the
+//! src → root leg plus the edges of the tree pruned to its recipients,
+//! and the underlay links those hops cross. Each recipient's chain is
+//! walked up only until it meets a node another recipient already
+//! reached, so each pruned-tree edge is visited once. Group membership is
+//! an O(1) test. Arrival times and visit marks live in node-indexed
+//! scratch arrays reused across sends, so a send allocates nothing beyond
+//! the [`Delivery`] it returns. A send is all or nothing: every hop's
+//! route is checked before any byte is accounted.
 
-use crate::topology::{NodeId, Topology};
+use crate::topology::{LinkSpec, NodeId, Topology};
 use gasf_core::candidate::FilterId;
 use gasf_core::engine::Emission;
 use gasf_core::time::Micros;
@@ -148,15 +169,111 @@ impl Delivery {
     }
 }
 
+/// Sentinel for "no node" / "no route" in node-indexed tables.
+const NONE: u32 = u32::MAX;
+
 #[derive(Debug)]
 struct Group {
     root: NodeId,
     members: Vec<NodeId>,
-    /// Tree edges: child → parent (root has no entry).
-    parent: HashMap<NodeId, NodeId>,
+    /// Node-indexed: whether the node appears in `members` — the O(1)
+    /// membership test of the send path.
+    member: Vec<bool>,
+    /// Tree edges, node-indexed: `parent[child]`, [`NONE`] for the root
+    /// and for nodes off the tree.
+    parent: Vec<u32>,
     /// Tree edges (as `(parent, child)` id pairs) created by self-repair
     /// after a node failure — what [`Delivery::repair_bytes`] accounts.
+    /// A leave that prunes such an edge keeps the entry, so a later join
+    /// over the same edge is accounted as repaired again.
     repaired: HashSet<(u32, u32)>,
+    /// Node-indexed: whether the child's current uplink is in
+    /// `repaired` (false off the tree), kept in step by every tree
+    /// mutation below.
+    repaired_up: Vec<bool>,
+}
+
+impl Group {
+    fn new(root: NodeId, nodes: usize) -> Self {
+        Group {
+            root,
+            members: Vec::new(),
+            member: vec![false; nodes],
+            parent: vec![NONE; nodes],
+            repaired: HashSet::new(),
+            repaired_up: vec![false; nodes],
+        }
+    }
+
+    fn is_member(&self, node: NodeId) -> bool {
+        self.member.get(node.index()).copied().unwrap_or(false)
+    }
+
+    fn add_member(&mut self, node: NodeId) {
+        self.members.push(node);
+        self.member[node.index()] = true;
+    }
+
+    /// Drops the first occurrence of `node` from the membership; returns
+    /// whether it was there.
+    fn remove_member(&mut self, node: NodeId) -> bool {
+        let Some(pos) = self.members.iter().position(|&m| m == node) else {
+            return false;
+        };
+        self.members.remove(pos);
+        self.member[node.index()] = self.members.contains(&node);
+        true
+    }
+
+    fn parent_of(&self, node: NodeId) -> Option<NodeId> {
+        match self.parent.get(node.index()) {
+            Some(&p) if p != NONE => Some(NodeId(p)),
+            _ => None,
+        }
+    }
+
+    /// Tree edges as `(child, parent)`, ascending by child.
+    #[cfg(test)]
+    fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.parent
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p != NONE)
+            .map(|(c, &p)| (NodeId(c as u32), NodeId(p)))
+    }
+
+    fn set_parent(&mut self, child: NodeId, parent: NodeId) {
+        self.parent[child.index()] = parent.0;
+        self.repaired_up[child.index()] = self.repaired.contains(&(parent.0, child.0));
+    }
+
+    fn cut(&mut self, child: NodeId) {
+        self.parent[child.index()] = NONE;
+        self.repaired_up[child.index()] = false;
+    }
+
+    fn mark_repaired(&mut self, parent: NodeId, child: NodeId) {
+        self.repaired.insert((parent.0, child.0));
+        if self.parent[child.index()] == parent.0 {
+            self.repaired_up[child.index()] = true;
+        }
+    }
+
+    /// The Scribe join walk along an overlay route toward the root: each
+    /// hop's next node becomes the parent, stopping at the first node
+    /// already on the tree. Returns how many edges were grafted — they are
+    /// the route's first hops.
+    fn graft(&mut self, route: &[NodeId]) -> usize {
+        let mut grafted = 0;
+        for pair in route.windows(2) {
+            if self.parent[pair[0].index()] != NONE || pair[0] == self.root {
+                break;
+            }
+            self.set_parent(pair[0], pair[1]);
+            grafted += 1;
+        }
+        grafted
+    }
 }
 
 /// A multicast group split into several independent rendezvous trees, one
@@ -208,22 +325,165 @@ pub struct RepairReport {
     pub control_bytes: u64,
 }
 
+/// Underlay routing and per-link accounting: dense link ids, route
+/// tables built lazily per source node, and the byte counters.
+#[derive(Debug)]
+struct Underlay {
+    /// `slot_link[slot_base[node] + slot]` is the id of the node's
+    /// `slot`-th adjacency entry.
+    slot_base: Vec<u32>,
+    slot_link: Vec<u32>,
+    /// Link endpoints `(a, b)` with `a < b`, indexed by link id and
+    /// ascending — link id order is [`Overlay::link_loads`] order.
+    ends: Vec<(u32, u32)>,
+    specs: Vec<LinkSpec>,
+    bytes: Vec<u64>,
+    /// Whether the link carried a message (possibly of zero bytes) since
+    /// the last reset — exactly the links `link_loads` lists.
+    used: Vec<bool>,
+    total: u64,
+    /// Per source node, per destination: the id of the last link on the
+    /// BFS route from the source — its other end is the predecessor —
+    /// or [`NONE`] when unreachable. Empty until the source first sends.
+    routes: Vec<Vec<u32>>,
+}
+
+impl Underlay {
+    fn new(topology: &Topology) -> Self {
+        let mut ends = Vec::new();
+        let mut specs = Vec::new();
+        for a in topology.nodes() {
+            let mut up: Vec<(NodeId, LinkSpec)> =
+                topology.neighbors(a).filter(|&(b, _)| b > a).collect();
+            up.sort_unstable_by_key(|&(b, _)| b);
+            for (b, spec) in up {
+                ends.push((a.0, b.0));
+                specs.push(spec);
+            }
+        }
+        let mut slot_base = Vec::with_capacity(topology.len());
+        let mut slot_link = Vec::with_capacity(2 * ends.len());
+        for a in topology.nodes() {
+            slot_base.push(slot_link.len() as u32);
+            for (b, _) in topology.neighbors(a) {
+                let key = (a.0.min(b.0), a.0.max(b.0));
+                let id = ends.binary_search(&key).expect("every link has an id");
+                slot_link.push(id as u32);
+            }
+        }
+        let links = ends.len();
+        Underlay {
+            slot_base,
+            slot_link,
+            ends,
+            specs,
+            bytes: vec![0; links],
+            used: vec![false; links],
+            total: 0,
+            routes: vec![Vec::new(); topology.len()],
+        }
+    }
+
+    /// Whether `to` is reachable from `from` (both in the topology or
+    /// equal), building `from`'s route table on first use.
+    fn reachable(&mut self, topology: &Topology, from: NodeId, to: NodeId) -> bool {
+        if from == to {
+            return true;
+        }
+        if to.index() >= topology.len() {
+            return false;
+        }
+        let table = &mut self.routes[from.index()];
+        if table.is_empty() {
+            table.resize(topology.len(), NONE);
+            let (slot_base, slot_link) = (&self.slot_base, &self.slot_link);
+            topology.bfs(from, |node, pred, slot| {
+                table[node as usize] = slot_link[(slot_base[pred as usize] + slot) as usize];
+                false
+            });
+        }
+        table[to.index()] != NONE
+    }
+
+    /// One overlay hop over a route [`reachable`](Self::reachable) has
+    /// confirmed: software delay plus store-and-forward per link, with
+    /// the bytes accounted on every link. Returns `(latency, bytes)`.
+    fn send(&mut self, from: NodeId, to: NodeId, bytes: usize, delay: Micros) -> (Micros, u64) {
+        let table = &self.routes[from.index()];
+        let mut latency = delay;
+        let mut total = 0u64;
+        let mut cur = to.0;
+        while cur != from.0 {
+            let link = table[cur as usize] as usize;
+            latency += self.specs[link].transfer_time(bytes);
+            self.bytes[link] += bytes as u64;
+            self.used[link] = true;
+            total += bytes as u64;
+            let (a, b) = self.ends[link];
+            cur ^= a ^ b; // step to the link's other end
+        }
+        self.total += total;
+        (latency, total)
+    }
+
+    fn reset(&mut self) {
+        self.bytes.fill(0);
+        self.used.fill(false);
+        self.total = 0;
+    }
+}
+
+/// Node-indexed, epoch-stamped scratch of the send path, reused across
+/// sends so a multicast allocates nothing but its [`Delivery`].
+#[derive(Debug)]
+struct SendScratch {
+    /// `stamp[node] == epoch` marks a node reached by the current send.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Arrival time per stamped node.
+    arrival: Vec<Micros>,
+    /// The current send's overlay hops: the src → root leg, then the
+    /// pruned tree's edges `(parent, child)`, every parent before its
+    /// children.
+    hops: Vec<(u32, u32)>,
+}
+
+impl SendScratch {
+    fn new(nodes: usize) -> Self {
+        SendScratch {
+            stamp: vec![0; nodes],
+            epoch: 0,
+            arrival: vec![Micros::ZERO; nodes],
+            hops: Vec::new(),
+        }
+    }
+
+    fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.hops.clear();
+    }
+}
+
 /// A DHT-ring overlay with Scribe-like multicast over a [`Topology`].
 #[derive(Debug)]
 pub struct Overlay {
     topology: Topology,
     config: OverlayConfig,
-    /// Ring order: node ids sorted by hashed position.
-    ring: Vec<NodeId>,
     groups: HashMap<GroupId, Group>,
-    link_bytes: HashMap<(u32, u32), u64>,
+    underlay: Underlay,
     messages: u64,
     /// Reusable recipient-node buffer for the borrow-based
     /// [`multicast_emission`](Overlay::multicast_emission) path.
     scratch_nodes: Vec<NodeId>,
-    /// Nodes whose overlay process is currently failed (fail-stop; the
-    /// underlay keeps forwarding — see [`Overlay::fail_node`]).
-    failed: BTreeSet<NodeId>,
+    scratch: SendScratch,
+    /// Node-indexed: whether the node's overlay process is currently
+    /// failed (fail-stop; the underlay keeps forwarding — see
+    /// [`Overlay::fail_node`]).
+    failed: Vec<bool>,
     /// Repair operations (re-grafts + re-roots) performed so far.
     repairs: u64,
     /// Underlay bytes spent on repair control traffic so far.
@@ -246,6 +506,64 @@ fn hash_str(s: &str) -> u64 {
     splitmix64(h)
 }
 
+/// The overlay route `from → to` as consecutive hops: the clockwise
+/// successor walk on the ring (Chord-style), skipping failed nodes — a
+/// live overlay routes around dead neighbours. `from` and `to` must be
+/// ring nodes.
+fn ring_hops(
+    failed: &[bool],
+    from: NodeId,
+    to: NodeId,
+) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    let ring = failed.len() as u32;
+    let (mut prev, mut i, mut done) = (from.0, from.0, from == to);
+    std::iter::from_fn(move || {
+        if done {
+            return None;
+        }
+        loop {
+            i = (i + 1) % ring;
+            if i == to.0 {
+                done = true;
+                return Some((NodeId(prev), to));
+            }
+            if !failed[i as usize] {
+                let hop = (NodeId(prev), NodeId(i));
+                prev = i;
+                return Some(hop);
+            }
+        }
+    })
+}
+
+/// The error an all-or-nothing send reports when some tree edge has no
+/// underlay route: the first such edge in the order the tree is flooded —
+/// breadth first from the root, children by ascending id.
+fn first_disconnected_edge(
+    edges: &[(u32, u32)],
+    root: NodeId,
+    mut reachable: impl FnMut(NodeId, NodeId) -> bool,
+) -> NetError {
+    let mut children: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for &(p, c) in edges {
+        children.entry(p).or_default().push(c);
+    }
+    let mut queue = VecDeque::from([root.0]);
+    while let Some(u) = queue.pop_front() {
+        let Some(mut kids) = children.remove(&u) else {
+            continue;
+        };
+        kids.sort_unstable();
+        for c in kids {
+            if !reachable(NodeId(u), NodeId(c)) {
+                return NetError::Disconnected(NodeId(u), NodeId(c));
+            }
+            queue.push_back(c);
+        }
+    }
+    unreachable!("a disconnected edge lies on the pruned tree")
+}
+
 impl Overlay {
     /// Builds an overlay over `topology` with default configuration.
     pub fn new(topology: Topology) -> Self {
@@ -259,16 +577,15 @@ impl Overlay {
     /// aligning the DHT ring with the deployment order (nodes are
     /// typically numbered along the mesh).
     pub fn with_config(topology: Topology, config: OverlayConfig) -> Self {
-        let ring: Vec<NodeId> = topology.nodes().collect();
         Overlay {
+            underlay: Underlay::new(&topology),
+            failed: vec![false; topology.len()],
+            scratch: SendScratch::new(topology.len()),
             topology,
             config,
-            ring,
             groups: HashMap::new(),
-            link_bytes: HashMap::new(),
             messages: 0,
             scratch_nodes: Vec::new(),
-            failed: BTreeSet::new(),
             repairs: 0,
             repair_bytes: 0,
         }
@@ -288,42 +605,24 @@ impl Overlay {
     /// — when that node has failed — its first live clockwise successor
     /// (Pastry's key-ownership handover on node departure).
     fn owner(&self, key: u64) -> NodeId {
-        let slot = (key % self.ring.len() as u64) as usize;
-        for step in 0..self.ring.len() {
-            let n = self.ring[(slot + step) % self.ring.len()];
-            if !self.failed.contains(&n) {
-                return n;
+        let ring = self.failed.len();
+        let slot = (key % ring as u64) as usize;
+        for step in 0..ring {
+            let n = (slot + step) % ring;
+            if !self.failed[n] {
+                return NodeId(n as u32);
             }
         }
         // Every node failed: degenerate, but keep the mapping total.
-        self.ring[slot]
+        NodeId(slot as u32)
     }
 
-    /// Overlay route from `from` to `to`: clockwise successor walk on the
-    /// ring (Chord-style), skipping failed nodes — a live overlay routes
-    /// around dead neighbours. Includes both endpoints.
+    /// Overlay route from `from` to `to` (see [`ring_hops`]), including
+    /// both endpoints.
     fn overlay_route(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
-        let mut route = vec![from];
-        if from == to {
-            return route;
-        }
-        let start = self
-            .ring
-            .iter()
-            .position(|&n| n == from)
-            .expect("node on ring");
-        let mut i = start;
-        loop {
-            i = (i + 1) % self.ring.len();
-            let n = self.ring[i];
-            if n == to {
-                route.push(n);
-                return route;
-            }
-            if !self.failed.contains(&n) {
-                route.push(n);
-            }
-        }
+        std::iter::once(from)
+            .chain(ring_hops(&self.failed, from, to).map(|(_, next)| next))
+            .collect()
     }
 
     /// Creates a multicast group rooted at the owner of `hash(name)`,
@@ -340,33 +639,17 @@ impl Overlay {
             if m.index() >= self.topology.len() {
                 return Err(NetError::UnknownNode(m));
             }
-            if self.failed.contains(&m) {
+            if self.is_failed(m) {
                 return Err(NetError::NodeFailed(m));
             }
         }
         let id = GroupId(hash_str(name));
-        let root = self.owner(id.0);
-        let mut parent = HashMap::new();
+        let mut group = Group::new(self.owner(id.0), self.topology.len());
         for &m in members {
-            // join: walk toward the root; each hop's next node becomes the
-            // parent, stopping early when we meet the existing tree.
-            let route = self.overlay_route(m, root);
-            for pair in route.windows(2) {
-                if parent.contains_key(&pair[0]) || pair[0] == root {
-                    break;
-                }
-                parent.insert(pair[0], pair[1]);
-            }
+            group.add_member(m);
+            group.graft(&self.overlay_route(m, group.root));
         }
-        self.groups.insert(
-            id,
-            Group {
-                root,
-                members: members.to_vec(),
-                parent,
-                repaired: HashSet::new(),
-            },
-        );
+        self.groups.insert(id, group);
         Ok(id)
     }
 
@@ -418,28 +701,18 @@ impl Overlay {
         if node.index() >= self.topology.len() {
             return Err(NetError::UnknownNode(node));
         }
-        if self.failed.contains(&node) {
+        if self.is_failed(node) {
             return Err(NetError::NodeFailed(node));
         }
         let root = self.group_root(group)?;
-        if self
-            .groups
-            .get(&group)
-            .is_some_and(|g| g.members.contains(&node))
-        {
-            return Ok(());
-        }
         let route = self.overlay_route(node, root);
         let g = self
             .groups
             .get_mut(&group)
             .expect("group_root proved the group exists");
-        g.members.push(node);
-        for pair in route.windows(2) {
-            if g.parent.contains_key(&pair[0]) || pair[0] == root {
-                break;
-            }
-            g.parent.insert(pair[0], pair[1]);
+        if !g.is_member(node) {
+            g.add_member(node);
+            g.graft(&route);
         }
         Ok(())
     }
@@ -459,22 +732,25 @@ impl Overlay {
             .groups
             .get_mut(&group)
             .ok_or(NetError::UnknownGroup(group))?;
-        let Some(pos) = g.members.iter().position(|&m| m == node) else {
+        if !g.remove_member(node) {
             return Err(NetError::NotAMember(node));
-        };
-        g.members.remove(pos);
+        }
         // Prune: keep exactly the chains the remaining members stand on.
-        let mut needed: HashSet<NodeId> = HashSet::new();
+        let mut needed = vec![false; g.parent.len()];
         for &m in &g.members {
             let mut cur = m;
-            while cur != g.root && needed.insert(cur) {
-                cur = *g
-                    .parent
-                    .get(&cur)
+            while cur != g.root && !needed[cur.index()] {
+                needed[cur.index()] = true;
+                cur = g
+                    .parent_of(cur)
                     .expect("tree connects every member to the root");
             }
         }
-        g.parent.retain(|child, _| needed.contains(child));
+        for (c, keep) in needed.into_iter().enumerate() {
+            if !keep {
+                g.cut(NodeId(c as u32));
+            }
+        }
         Ok(())
     }
 
@@ -580,7 +856,7 @@ impl Overlay {
         if node.index() >= self.topology.len() {
             return Err(NetError::UnknownNode(node));
         }
-        if !self.failed.insert(node) {
+        if std::mem::replace(&mut self.failed[node.index()], true) {
             return Err(NetError::NodeFailed(node));
         }
         let mut report = RepairReport::default();
@@ -606,20 +882,22 @@ impl Overlay {
     /// # Errors
     /// [`NetError::UnknownNode`] outside the topology.
     pub fn recover_node(&mut self, node: NodeId) -> Result<bool, NetError> {
-        if node.index() >= self.topology.len() {
-            return Err(NetError::UnknownNode(node));
+        match self.failed.get_mut(node.index()) {
+            Some(failed) => Ok(std::mem::replace(failed, false)),
+            None => Err(NetError::UnknownNode(node)),
         }
-        Ok(self.failed.remove(&node))
     }
 
     /// Whether a node's overlay process is currently failed.
     pub fn is_failed(&self, node: NodeId) -> bool {
-        self.failed.contains(&node)
+        self.failed.get(node.index()).copied().unwrap_or(false)
     }
 
     /// The currently failed nodes, ascending.
     pub fn failed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.failed.iter().copied()
+        (0..self.failed.len() as u32)
+            .map(NodeId)
+            .filter(|&n| self.failed[n.index()])
     }
 
     /// Repair operations (re-grafts + re-roots) performed over the
@@ -638,36 +916,33 @@ impl Overlay {
     /// Repairs one group after `failed` went down (see
     /// [`fail_node`](Self::fail_node)).
     fn repair_group(&mut self, g: &mut Group, failed: NodeId, report: &mut RepairReport) {
-        if let Some(pos) = g.members.iter().position(|&m| m == failed) {
-            g.members.remove(pos);
-        }
+        g.remove_member(failed);
         // The failed node leaves the tree entirely: its own uplink *and*
         // every child's edge into it — those children are the orphaned
         // chain heads the re-graft walk below picks up. (Removing only
         // the uplink would leave the corpse forwarding for its subtree.)
-        g.parent.remove(&failed);
-        g.parent.retain(|_, parent| *parent != failed);
+        g.cut(failed);
+        for c in 0..g.parent.len() {
+            if g.parent[c] == failed.0 {
+                g.cut(NodeId(c as u32));
+            }
+        }
+        // Only edges touching the corpse leave `repaired`, and those were
+        // all cut above, so no surviving uplink changes its flag.
         g.repaired.retain(|&(p, c)| p != failed.0 && c != failed.0);
         if g.root == failed {
             // Rendezvous-root failover: ownership moves to the next live
             // ring successor and the tree is rebuilt from scratch.
             report.reroots += 1;
-            let slot = self
-                .ring
-                .iter()
-                .position(|&n| n == failed)
-                .expect("root is on the ring");
-            let mut new_root = g.root;
-            for step in 1..=self.ring.len() {
-                let n = self.ring[(slot + step) % self.ring.len()];
-                if !self.failed.contains(&n) {
-                    new_root = n;
-                    break;
-                }
-            }
+            let ring = self.failed.len();
+            let new_root = (1..=ring)
+                .map(|step| NodeId(((failed.index() + step) % ring) as u32))
+                .find(|&n| !self.is_failed(n))
+                .unwrap_or(failed);
             g.root = new_root;
-            g.parent.clear();
+            g.parent.fill(NONE);
             g.repaired.clear();
+            g.repaired_up.fill(false);
             if new_root == failed {
                 return; // every node is down; nothing to rebuild
             }
@@ -681,12 +956,9 @@ impl Overlay {
         let mut orphans: BTreeSet<NodeId> = BTreeSet::new();
         for &m in &g.members {
             let mut cur = m;
-            loop {
-                if cur == g.root {
-                    break;
-                }
-                match g.parent.get(&cur) {
-                    Some(&p) => cur = p,
+            while cur != g.root {
+                match g.parent_of(cur) {
+                    Some(p) => cur = p,
                     None => {
                         orphans.insert(cur);
                         break;
@@ -705,12 +977,9 @@ impl Overlay {
     fn regraft(&mut self, g: &mut Group, from: NodeId, report: &mut RepairReport) {
         let route = self.overlay_route(from, g.root);
         let header = self.config.header_bytes;
-        for pair in route.windows(2) {
-            if g.parent.contains_key(&pair[0]) || pair[0] == g.root {
-                break;
-            }
-            g.parent.insert(pair[0], pair[1]);
-            g.repaired.insert((pair[1].0, pair[0].0));
+        let grafted = g.graft(&route);
+        for pair in route.windows(2).take(grafted) {
+            g.mark_repaired(pair[1], pair[0]);
             if let Ok((_, bytes)) = self.transmit(pair[0], pair[1], header) {
                 report.control_hops += 1;
                 report.control_bytes += bytes;
@@ -724,9 +993,15 @@ impl Overlay {
     /// group. The message travels src → root, then down the tree pruned to
     /// the recipients; every link carries it at most once.
     ///
+    /// A send is all or nothing: when it fails, no traffic is accounted.
+    ///
     /// # Errors
+    /// * [`NetError::NodeFailed`] if `src` has failed,
     /// * [`NetError::UnknownGroup`] / [`NetError::NotAMember`],
-    /// * [`NetError::Disconnected`] if the underlay lacks a path.
+    /// * [`NetError::UnknownNode`] if `src` is outside the topology,
+    /// * [`NetError::Disconnected`] if the underlay lacks a path for an
+    ///   overlay hop — the first one on the src → root leg, else the first
+    ///   tree edge breadth first from the root.
     pub fn multicast(
         &mut self,
         group: GroupId,
@@ -734,91 +1009,90 @@ impl Overlay {
         recipients: &[NodeId],
         payload_bytes: usize,
     ) -> Result<Delivery, NetError> {
-        if self.failed.contains(&src) {
+        if self.is_failed(src) {
             return Err(NetError::NodeFailed(src));
         }
         let g = self
             .groups
             .get(&group)
             .ok_or(NetError::UnknownGroup(group))?;
-        for r in recipients {
-            if !g.members.contains(r) {
-                return Err(NetError::NotAMember(*r));
-            }
+        if let Some(&r) = recipients.iter().find(|&&r| !g.is_member(r)) {
+            return Err(NetError::NotAMember(r));
         }
+        if src.index() >= self.topology.len() {
+            return Err(NetError::UnknownNode(src));
+        }
+        let (topology, underlay, s) = (&self.topology, &mut self.underlay, &mut self.scratch);
         let root = g.root;
-        // Paths from each recipient up to the root (child -> parent chain).
-        let mut needed_edges: HashSet<(NodeId, NodeId)> = HashSet::new(); // parent -> child
-        let mut repaired_edges: HashSet<(NodeId, NodeId)> = HashSet::new();
-        let mut up_paths: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        s.begin();
+
+        // Plan, accounting nothing yet. Leg 1: src to root along the
+        // overlay (empty when src == root).
+        for (a, b) in ring_hops(&self.failed, src, root) {
+            if !underlay.reachable(topology, a, b) {
+                return Err(NetError::Disconnected(a, b));
+            }
+            s.hops.push((a.0, b.0));
+        }
+        let leg1 = s.hops.len();
+        // Leg 2: the tree pruned to the recipients. Each recipient's
+        // chain is walked up only to the first node already on the pruned
+        // tree, so every tree edge is planned exactly once; reversing the
+        // walked segment puts parents before children.
+        s.stamp[root.index()] = s.epoch;
+        let mut disconnected = false;
         for &r in recipients {
-            let mut path = vec![r];
+            let start = s.hops.len();
             let mut cur = r;
-            while cur != root {
-                let p = *g
-                    .parent
-                    .get(&cur)
+            while cur != root && s.stamp[cur.index()] != s.epoch {
+                s.stamp[cur.index()] = s.epoch;
+                let p = g
+                    .parent_of(cur)
                     .expect("tree connects every member to the root");
-                needed_edges.insert((p, cur));
-                if g.repaired.contains(&(p.0, cur.0)) {
-                    repaired_edges.insert((p, cur));
-                }
-                path.push(p);
+                disconnected |= !underlay.reachable(topology, p, cur);
+                s.hops.push((p.0, cur.0));
                 cur = p;
             }
-            path.reverse(); // root .. recipient
-            up_paths.insert(r, path);
+            s.hops[start..].reverse();
         }
-        let msg_bytes = payload_bytes + self.config.header_bytes;
+        if disconnected {
+            return Err(first_disconnected_edge(&s.hops[leg1..], root, |a, b| {
+                underlay.reachable(topology, a, b)
+            }));
+        }
 
-        // Leg 1: src to root along the overlay (skipped when src == root).
+        // Send: every planned hop has a route.
+        let (msg_bytes, delay) = (
+            payload_bytes + self.config.header_bytes,
+            self.config.software_delay,
+        );
         let mut bytes_on_wire = 0u64;
-        let mut overlay_hops = 0usize;
         let mut root_arrival = Micros::ZERO;
-        let src_route = self.overlay_route(src, root);
-        for pair in src_route.windows(2) {
-            let (lat, bytes) = self.transmit(pair[0], pair[1], msg_bytes)?;
+        for &(a, b) in &s.hops[..leg1] {
+            let (lat, bytes) = underlay.send(NodeId(a), NodeId(b), msg_bytes, delay);
             root_arrival += lat;
             bytes_on_wire += bytes;
-            overlay_hops += 1;
         }
-
-        // Leg 2: down the pruned tree. Compute arrival per tree node by
-        // BFS from the root over the needed edges.
-        let mut arrival: HashMap<NodeId, Micros> = HashMap::new();
-        arrival.insert(root, root_arrival);
-        let mut queue = VecDeque::from([root]);
-        let mut edges_by_parent: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for &(p, c) in &needed_edges {
-            edges_by_parent.entry(p).or_default().push(c);
-        }
-        for v in edges_by_parent.values_mut() {
-            v.sort_unstable(); // deterministic order
-        }
+        s.arrival[root.index()] = root_arrival;
         let mut repair_bytes = 0u64;
-        while let Some(u) = queue.pop_front() {
-            let base = arrival[&u];
-            if let Some(children) = edges_by_parent.get(&u).cloned() {
-                for c in children {
-                    let (lat, bytes) = self.transmit(u, c, msg_bytes)?;
-                    bytes_on_wire += bytes;
-                    overlay_hops += 1;
-                    if repaired_edges.contains(&(u, c)) {
-                        repair_bytes += bytes;
-                    }
-                    arrival.insert(c, base + lat);
-                    queue.push_back(c);
-                }
+        for &(p, c) in &s.hops[leg1..] {
+            let (lat, bytes) = underlay.send(NodeId(p), NodeId(c), msg_bytes, delay);
+            s.arrival[c as usize] = s.arrival[p as usize] + lat;
+            bytes_on_wire += bytes;
+            if g.repaired_up[c as usize] {
+                repair_bytes += bytes;
             }
         }
 
-        let latencies: BTreeMap<NodeId, Micros> =
-            recipients.iter().map(|&r| (r, arrival[&r])).collect();
+        let latencies: BTreeMap<NodeId, Micros> = recipients
+            .iter()
+            .map(|&r| (r, s.arrival[r.index()]))
+            .collect();
         self.messages += 1;
         Ok(Delivery {
             latencies,
             bytes_on_wire,
-            overlay_hops,
+            overlay_hops: s.hops.len(),
             repair_bytes,
         })
     }
@@ -830,7 +1104,8 @@ impl Overlay {
     /// node (the caller owns that mapping — the overlay knows nothing about
     /// filters). Duplicate nodes are collapsed, the payload size is the
     /// tuple's wire size, and the recipient list is staged in a buffer
-    /// reused across calls, so sending allocates nothing per emission.
+    /// reused across calls, so sending allocates nothing per emission
+    /// beyond the returned [`Delivery`].
     ///
     /// # Errors
     /// Same as [`multicast`](Self::multicast).
@@ -914,10 +1189,10 @@ impl Overlay {
         to: NodeId,
         payload_bytes: usize,
     ) -> Result<Delivery, NetError> {
-        if self.failed.contains(&from) {
+        if self.is_failed(from) {
             return Err(NetError::NodeFailed(from));
         }
-        if self.failed.contains(&to) {
+        if self.is_failed(to) {
             return Err(NetError::NodeFailed(to));
         }
         let (lat, bytes) = self.transmit(from, to, payload_bytes + self.config.header_bytes)?;
@@ -941,39 +1216,24 @@ impl Overlay {
         if from.index() >= self.topology.len() {
             return Err(NetError::UnknownNode(from));
         }
-        let path = self
-            .topology
-            .path(from, to)
-            .ok_or(NetError::Disconnected(from, to))?;
-        let mut latency = self.config.software_delay;
-        let mut total = 0u64;
-        for pair in path.windows(2) {
-            let link = self
-                .topology
-                .link(pair[0], pair[1])
-                .expect("BFS path follows links");
-            latency += link.transfer_time(bytes);
-            let key = if pair[0] <= pair[1] {
-                (pair[0].0, pair[1].0)
-            } else {
-                (pair[1].0, pair[0].0)
-            };
-            *self.link_bytes.entry(key).or_insert(0) += bytes as u64;
-            total += bytes as u64;
+        if !self.underlay.reachable(&self.topology, from, to) {
+            return Err(NetError::Disconnected(from, to));
         }
-        Ok((latency, total))
+        Ok(self
+            .underlay
+            .send(from, to, bytes, self.config.software_delay))
     }
 
     /// Total bytes transmitted across all links since construction (or the
     /// last [`reset_stats`](Self::reset_stats)).
     pub fn total_bytes(&self) -> u64 {
-        self.link_bytes.values().sum()
+        self.underlay.total
     }
 
     /// The most heavily loaded link's byte count — the bottleneck metric
     /// for low-bandwidth meshes.
     pub fn max_link_bytes(&self) -> u64 {
-        self.link_bytes.values().copied().max().unwrap_or(0)
+        self.underlay.bytes.iter().copied().max().unwrap_or(0)
     }
 
     /// Messages sent so far.
@@ -984,20 +1244,19 @@ impl Overlay {
     /// Per-link byte counters, sorted by endpoint pair. Each entry is an
     /// undirected underlay link `(a, b)` with `a <= b` and the bytes that
     /// crossed it since construction (or the last
-    /// [`reset_stats`](Self::reset_stats)).
+    /// [`reset_stats`](Self::reset_stats)); links no message has crossed
+    /// are left out.
     pub fn link_loads(&self) -> Vec<(NodeId, NodeId, u64)> {
-        let mut loads: Vec<(NodeId, NodeId, u64)> = self
-            .link_bytes
-            .iter()
-            .map(|(&(a, b), &bytes)| (NodeId(a), NodeId(b), bytes))
-            .collect();
-        loads.sort_unstable();
-        loads
+        let u = &self.underlay;
+        (0..u.ends.len())
+            .filter(|&id| u.used[id])
+            .map(|id| (NodeId(u.ends[id].0), NodeId(u.ends[id].1), u.bytes[id]))
+            .collect()
     }
 
     /// Clears the traffic counters (not the groups).
     pub fn reset_stats(&mut self) {
-        self.link_bytes.clear();
+        self.underlay.reset();
         self.messages = 0;
     }
 }
@@ -1293,9 +1552,8 @@ mod tests {
         fn interior_node(o: &Overlay, g: GroupId) -> Option<NodeId> {
             let group = o.groups.get(&g).unwrap();
             group
-                .parent
-                .values()
-                .copied()
+                .edges()
+                .map(|(_, p)| p)
                 .filter(|&p| p != group.root)
                 .min()
         }
@@ -1349,23 +1607,22 @@ mod tests {
             let orphans: Vec<NodeId> = {
                 let group = o.groups.get(&g).unwrap();
                 group
-                    .parent
-                    .iter()
-                    .filter(|&(_, p)| *p == failed)
-                    .map(|(&c, _)| c)
+                    .edges()
+                    .filter(|&(_, p)| p == failed)
+                    .map(|(c, _)| c)
                     .collect()
             };
             assert!(!orphans.is_empty(), "interior node has children");
             o.fail_node(failed).unwrap();
             let group = o.groups.get(&g).unwrap();
-            assert!(!group.parent.contains_key(&failed), "uplink removed");
+            assert!(group.parent_of(failed).is_none(), "uplink removed");
             assert!(
-                group.parent.values().all(|&p| p != failed),
+                group.edges().all(|(_, p)| p != failed),
                 "no child may still route through the corpse"
             );
             for orphan in orphans {
                 assert!(
-                    group.parent.contains_key(&orphan),
+                    group.parent_of(orphan).is_some(),
                     "{orphan} must have re-grafted"
                 );
             }

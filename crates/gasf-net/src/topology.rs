@@ -144,6 +144,45 @@ impl Topology {
             .map(|e| e.spec)
     }
 
+    /// The links of one node as `(neighbour, spec)`, in adjacency
+    /// (insertion) order — the order every breadth-first search here
+    /// discovers neighbours in. Empty for nodes outside the topology.
+    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (NodeId, LinkSpec)> + '_ {
+        self.adj
+            .get(node.index())
+            .into_iter()
+            .flatten()
+            .map(|e| (NodeId(e.to), e.spec))
+    }
+
+    /// The one breadth-first traversal behind [`path`](Self::path),
+    /// [`is_connected`](Self::is_connected), [`hops_from`](Self::hops_from)
+    /// and the overlay's cached route tables.
+    ///
+    /// `visit(node, pred, slot)` is called once per node other than `src`,
+    /// when BFS first discovers it: `pred` is the node it was reached
+    /// from and `slot` the index of that link in `pred`'s adjacency list.
+    /// A predecessor is fixed at first discovery, so walking predecessors
+    /// back from any node reproduces the same minimum-hop path whether or
+    /// not the search stopped early. Returning `true` from `visit` stops
+    /// the search. `src` must be a node of the topology.
+    pub(crate) fn bfs(&self, src: NodeId, mut visit: impl FnMut(u32, u32, u32) -> bool) {
+        let mut visited = vec![false; self.len()];
+        visited[src.index()] = true;
+        let mut queue = VecDeque::from([src.0]);
+        while let Some(u) = queue.pop_front() {
+            for (slot, e) in self.adj[u as usize].iter().enumerate() {
+                if !visited[e.to as usize] {
+                    visited[e.to as usize] = true;
+                    if visit(e.to, u, slot as u32) {
+                        return;
+                    }
+                    queue.push_back(e.to);
+                }
+            }
+        }
+    }
+
     /// Minimum-hop path between two nodes (BFS), `None` if disconnected.
     /// The returned path includes both endpoints.
     pub fn path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
@@ -153,33 +192,46 @@ impl Topology {
         if from.index() >= self.len() || to.index() >= self.len() {
             return None;
         }
-        let mut prev: Vec<Option<u32>> = vec![None; self.len()];
-        let mut visited = vec![false; self.len()];
-        visited[from.index()] = true;
-        let mut queue = VecDeque::from([from.0]);
-        while let Some(u) = queue.pop_front() {
-            for e in &self.adj[u as usize] {
-                if !visited[e.to as usize] {
-                    visited[e.to as usize] = true;
-                    prev[e.to as usize] = Some(u);
-                    if e.to == to.0 {
-                        let mut path = vec![to];
-                        let mut cur = u;
-                        loop {
-                            path.push(NodeId(cur));
-                            match prev[cur as usize] {
-                                Some(p) => cur = p,
-                                None => break,
-                            }
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(e.to);
-                }
-            }
+        let mut prev: Vec<u32> = vec![u32::MAX; self.len()];
+        let mut found = false;
+        self.bfs(from, |node, pred, _| {
+            prev[node as usize] = pred;
+            found = node == to.0;
+            found
+        });
+        if !found {
+            return None;
         }
-        None
+        let mut path = vec![to];
+        let mut cur = to.0;
+        while cur != from.0 {
+            cur = prev[cur as usize];
+            path.push(NodeId(cur));
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Minimum hop counts from `src` to every node, from one BFS — the
+    /// all-destinations form of [`path`](Self::path)`(src, to).len() - 1`.
+    ///
+    /// ```rust
+    /// use gasf_net::{NodeId, Topology};
+    /// let topo = Topology::line(4).build();
+    /// let hops = topo.hops_from(NodeId(1));
+    /// assert_eq!(hops.to(NodeId(3)), Some(2));
+    /// assert_eq!(hops.to(NodeId(1)), Some(0));
+    /// ```
+    pub fn hops_from(&self, src: NodeId) -> Hops {
+        let mut hops = vec![u32::MAX; self.len()];
+        if src.index() < self.len() {
+            hops[src.index()] = 0;
+            self.bfs(src, |node, pred, _| {
+                hops[node as usize] = hops[pred as usize] + 1;
+                false
+            });
+        }
+        Hops { hops }
     }
 
     /// Whether every node can reach every other node.
@@ -187,20 +239,30 @@ impl Topology {
         if self.is_empty() {
             return true;
         }
-        let mut visited = vec![false; self.len()];
-        let mut queue = VecDeque::from([0u32]);
-        visited[0] = true;
         let mut seen = 1;
-        while let Some(u) = queue.pop_front() {
-            for e in &self.adj[u as usize] {
-                if !visited[e.to as usize] {
-                    visited[e.to as usize] = true;
-                    seen += 1;
-                    queue.push_back(e.to);
-                }
-            }
-        }
+        self.bfs(NodeId(0), |_, _, _| {
+            seen += 1;
+            false
+        });
         seen == self.len()
+    }
+}
+
+/// Minimum hop counts from one source node, as returned by
+/// [`Topology::hops_from`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Hops {
+    hops: Vec<u32>,
+}
+
+impl Hops {
+    /// Hops from the source to `node` (`Some(0)` for the source itself),
+    /// `None` when `node` is unreachable or outside the topology.
+    pub fn to(&self, node: NodeId) -> Option<usize> {
+        match self.hops.get(node.index()) {
+            Some(&h) if h != u32::MAX => Some(h as usize),
+            _ => None,
+        }
     }
 }
 
@@ -323,6 +385,43 @@ mod tests {
             .build();
         assert!(!t.is_connected());
         assert!(t.path(NodeId(0), NodeId(2)).is_none());
+    }
+
+    #[test]
+    fn hops_from_matches_path_lengths() {
+        let extra = LinkSpec::default();
+        let topologies = [
+            Topology::grid(4, 3).link(0, 11, extra).build(),
+            Topology::ring(9).build(),
+            TopologyBuilder::with_nodes(5)
+                .link(0, 1, extra)
+                .link(3, 4, extra)
+                .build(),
+        ];
+        for t in topologies {
+            for a in t.nodes() {
+                let hops = t.hops_from(a);
+                for b in t.nodes() {
+                    assert_eq!(hops.to(b), t.path(a, b).map(|p| p.len() - 1), "{a}->{b}");
+                }
+                assert_eq!(
+                    hops.to(NodeId(t.len() as u32)),
+                    None,
+                    "outside the topology"
+                );
+            }
+        }
+        let outside = Topology::line(3).build().hops_from(NodeId(7));
+        assert_eq!(outside.to(NodeId(0)), None);
+    }
+
+    #[test]
+    fn neighbors_follow_insertion_order() {
+        let t = Topology::star(4).link(2, 3, LinkSpec::default()).build();
+        let of = |n| t.neighbors(NodeId(n)).map(|(m, _)| m.0).collect::<Vec<_>>();
+        assert_eq!(of(0), vec![1, 2, 3]);
+        assert_eq!(of(2), vec![0, 3]);
+        assert!(t.neighbors(NodeId(9)).next().is_none());
     }
 
     #[test]

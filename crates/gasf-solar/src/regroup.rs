@@ -11,7 +11,8 @@
 //! (feeding it measured per-filter reference rates) and migrates the
 //! filters across engines at an epoch boundary, no teardown required.
 
-use gasf_net::{NodeId, Topology};
+use gasf_net::{Hops, NodeId, Topology};
+use std::collections::BTreeMap;
 
 /// A partition of filter indices into groups.
 pub type Partition = Vec<Vec<usize>>;
@@ -88,21 +89,28 @@ pub fn partition(
             parts
         }
         GroupingStrategy::ByProximity { max_hops } => {
+            let node_of = |i: usize| nodes.get(i).copied().unwrap_or(NodeId(0));
+            // One BFS per distinct subscriber node, not one per pair.
+            let mut tables: BTreeMap<NodeId, Hops> = BTreeMap::new();
+            for i in 0..n {
+                let node = node_of(i);
+                tables
+                    .entry(node)
+                    .or_insert_with(|| topology.hops_from(node));
+            }
             let hop = |a: NodeId, b: NodeId| -> usize {
-                topology
-                    .path(a, b)
-                    .map(|p| p.len().saturating_sub(1))
-                    .unwrap_or(usize::MAX)
+                if a == b {
+                    0
+                } else {
+                    tables[&a].to(b).unwrap_or(usize::MAX)
+                }
             };
             let mut parts: Partition = Vec::new();
             for i in 0..n {
-                let node = nodes.get(i).copied().unwrap_or(NodeId(0));
-                let home = parts.iter_mut().find(|part| {
-                    part.iter().all(|&j| {
-                        let other = nodes.get(j).copied().unwrap_or(NodeId(0));
-                        hop(node, other) <= max_hops
-                    })
-                });
+                let node = node_of(i);
+                let home = parts
+                    .iter_mut()
+                    .find(|part| part.iter().all(|&j| hop(node, node_of(j)) <= max_hops));
                 match home {
                     Some(part) => part.push(i),
                     None => parts.push(vec![i]),
